@@ -12,6 +12,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use bmp_core::json::escape_string;
+
 /// How bad a finding is.
 ///
 /// Ordering is semantic: `Info < Warn < Error`, so `max()` over a
@@ -106,22 +108,16 @@ impl Diagnostic {
 
     /// Renders this diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"code\":");
-        json_string(&mut s, self.code);
-        s.push_str(",\"severity\":");
-        json_string(&mut s, self.severity.label());
-        s.push_str(",\"locus\":");
-        json_string(&mut s, &self.locus);
-        s.push_str(",\"message\":");
-        json_string(&mut s, &self.message);
-        s.push_str(",\"suggestion\":");
-        match &self.suggestion {
-            Some(sug) => json_string(&mut s, sug),
-            None => s.push_str("null"),
-        }
-        s.push('}');
-        s
+        format!(
+            "{{\"code\":{},\"severity\":{},\"locus\":{},\"message\":{},\"suggestion\":{}}}",
+            escape_string(self.code),
+            escape_string(self.severity.label()),
+            escape_string(&self.locus),
+            escape_string(&self.message),
+            self.suggestion
+                .as_deref()
+                .map_or_else(|| "null".to_owned(), escape_string),
+        )
     }
 }
 
@@ -262,23 +258,6 @@ pub fn walk_inputs(path: &str, ext: &str) -> Result<Vec<WalkedFile>, String> {
         out.push(WalkedFile { path, content });
     }
     Ok(out)
-}
-
-/// Appends `value` to `out` as a JSON string literal with full escaping.
-fn json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

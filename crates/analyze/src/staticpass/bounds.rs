@@ -6,11 +6,12 @@
 //!
 //! 1. **The local contributors are exact.** The model's per-interval
 //!    knock-out decomposition is itself a closed-form dependence-graph
-//!    computation ([`schedule_interval`]) over the interval's ops — no
-//!    cycle-level state is involved. Re-running the same four schedules
-//!    here reproduces `base`, `ilp`, `fu_latency`, `short_dmiss` and
-//!    `local_resolution` *exactly*, so their bounds collapse to a point.
-//!    Likewise `refill = intervals × frontend_depth` by construction.
+//!    computation over the interval's ops — no cycle-level state is
+//!    involved. This pass takes `base`, `ilp`, `fu_latency`,
+//!    `short_dmiss` and `local_resolution` from the very function the
+//!    model uses ([`local_decomposition`]), so they are exact by
+//!    construction and their bounds collapse to a point. Likewise
+//!    `refill = intervals × frontend_depth`.
 //!
 //! 2. **The effective resolution admits a per-branch envelope.** What the
 //!    static pass deliberately does not compute is whole-trace interplay
@@ -25,12 +26,11 @@
 //! (carryover ≈ 0); its observed error against simulation is reported by
 //! `bmp-verify` and documented in `docs/STATIC_ANALYSIS.md`.
 
-use bmp_core::drain::{schedule_interval, WindowParams};
 use bmp_core::functional::FunctionalOutcome;
-use bmp_core::intervals::{segment, IntervalEventKind};
 use bmp_core::metrics::ModelMetrics;
+use bmp_core::penalty::{local_decomposition, LocalTerms};
 use bmp_trace::{dag, Trace};
-use bmp_uarch::{LatencyTable, MachineConfig, OpClass};
+use bmp_uarch::{MachineConfig, OpClass};
 
 /// A closed interval `[lo, hi]` with a point estimate, all in cycles
 /// (signed so the carryover total fits).
@@ -148,8 +148,8 @@ impl StaticBounds {
 
     /// Checks the *exact* part of a model-metrics section: the local
     /// contributors and refill must match the static recomputation to
-    /// the cycle (the static pass replays the model's own per-interval
-    /// decomposition).
+    /// the cycle (both come from the same per-interval decomposition, so
+    /// a mismatch means a recorded document is stale or corrupted).
     ///
     /// Returns one message per violation; the empty vector is a pass.
     pub fn check_model_exact(&self, m: &ModelMetrics) -> Vec<String> {
@@ -303,65 +303,34 @@ pub fn compute_with(
     trace: &Trace,
     outcome: &FunctionalOutcome,
 ) -> StaticBounds {
-    let intervals = segment(trace.len(), &outcome.events);
-    let params = WindowParams::from(cfg);
-    let l1_hit = cfg.caches.l1d().hit_latency();
-    let unit = LatencyTable::unit();
-
-    let mut n = 0u64;
-    let mut base_t = 0u64;
-    let mut ilp_t = 0u64;
-    let mut fu_t = 0u64;
-    let mut sd_t = 0u64;
-    let mut local_t = 0u64;
-    let mut cp_t = 0u64;
-    let mut terms = Vec::new();
-
-    for iv in &intervals {
-        if iv.kind != Some(IntervalEventKind::BranchMispredict) {
-            continue;
-        }
-        let ops = &trace.ops()[iv.start..=iv.end];
-        let branch_off = ops.len() - 1;
-        let real_load = |i: usize| outcome.load_latency[iv.start + i];
-
-        // The model's own knock-out cascade, replayed verbatim
-        // (`PenaltyModel::analyze_with`) — this is what makes the local
-        // terms exact rather than bounded.
-        let r_local =
-            schedule_interval(ops, params, &cfg.latencies, real_load, false).resolution(branch_off);
-        let r_l1 = schedule_interval(ops, params, &cfg.latencies, |_| Some(l1_hit), false)
-            .resolution(branch_off);
-        let r_unit =
-            schedule_interval(ops, params, &unit, |_| Some(1), false).resolution(branch_off);
-        let r_base =
-            schedule_interval(ops, params, &unit, |_| Some(1), true).resolution(branch_off);
-        let r_l1 = r_l1.min(r_local);
-        let r_unit = r_unit.min(r_l1);
-        let r_base = r_base.min(r_unit);
-
-        n += 1;
-        base_t += r_base;
-        ilp_t += r_unit - r_base;
-        fu_t += r_l1 - r_unit;
-        sd_t += r_local - r_l1;
-        local_t += r_local;
-        cp_t += dag::critical_path(ops, |i, op| {
-            u64::from(match op.class() {
-                OpClass::Load => {
-                    real_load(i).unwrap_or_else(|| cfg.latencies.latency(OpClass::Load))
-                }
-                c => cfg.latencies.latency(c),
+    // The model's own knock-out cascade: the local terms are exact
+    // rather than bounded.
+    let (_, locals) = local_decomposition(cfg, trace, outcome);
+    let n = locals.len() as u64;
+    let total = |term: fn(&LocalTerms) -> u64| locals.iter().map(term).sum::<u64>() as i64;
+    let cp_t: u64 = locals
+        .iter()
+        .map(|t| {
+            let ops = &trace.ops()[t.interval.start..=t.interval.end];
+            dag::critical_path(ops, |i, op| {
+                u64::from(match op.class() {
+                    OpClass::Load => outcome.load_latency[t.interval.start + i]
+                        .unwrap_or_else(|| cfg.latencies.latency(OpClass::Load)),
+                    c => cfg.latencies.latency(c),
+                })
             })
-        });
-        terms.push((trace.ops()[iv.end].pc(), r_local));
-    }
+        })
+        .sum();
+    let terms = locals
+        .iter()
+        .map(|t| (trace.ops()[t.interval.end].pc(), t.local_resolution))
+        .collect();
 
     let (per_lo, per_hi) = per_branch_resolution_bounds(cfg);
     let refill = n * u64::from(cfg.frontend_depth);
     let res_lo = (n * per_lo) as i64;
     let res_hi = (n * per_hi) as i64;
-    let local = local_t as i64;
+    let local = total(|t| t.local_resolution);
     let resolution = Bound::ranged(res_lo, local, res_hi);
     let carryover = Bound::ranged(res_lo - local, 0, res_hi - local);
     let penalty = Bound::ranged(
@@ -370,16 +339,11 @@ pub fn compute_with(
         res_hi + refill as i64,
     );
 
-    let icache_stall_cycles: u64 = outcome
+    let icache_stall_cycles = outcome
         .events
         .iter()
-        .map(|e| match e.kind {
-            IntervalEventKind::ICacheMiss => u64::from(cfg.caches.short_dmiss_latency()),
-            IntervalEventKind::ICacheLongMiss => {
-                u64::from(cfg.caches.short_dmiss_latency()) + u64::from(cfg.caches.mem_latency())
-            }
-            _ => 0,
-        })
+        .filter_map(|e| e.kind.fetch_stall(&cfg.caches))
+        .map(u64::from)
         .sum();
 
     StaticBounds {
@@ -389,10 +353,10 @@ pub fn compute_with(
         per_branch_lo: per_lo,
         per_branch_hi: per_hi,
         refill: Bound::exact(refill as i64),
-        base: Bound::exact(base_t as i64),
-        ilp: Bound::exact(ilp_t as i64),
-        fu_latency: Bound::exact(fu_t as i64),
-        short_dmiss: Bound::exact(sd_t as i64),
+        base: Bound::exact(total(|t| t.base)),
+        ilp: Bound::exact(total(|t| t.ilp)),
+        fu_latency: Bound::exact(total(|t| t.fu_latency)),
+        short_dmiss: Bound::exact(total(|t| t.short_dmiss)),
         local_resolution: Bound::exact(local),
         carryover,
         resolution,

@@ -3,10 +3,13 @@
 //! The static pass (`bmp_analyze::staticpass::bounds`) claims two
 //! things (see `docs/STATIC_ANALYSIS.md` for the derivations):
 //!
-//! 1. Its local contributor totals are *exact* replays of the
-//!    analytical model's knockout cascade — for every machine, trace
-//!    and seed, [`StaticBounds::check_model`] against the model's own
-//!    totals is empty.
+//! 1. Its local contributor totals are *exact*: they come from the
+//!    same knock-out cascade the analytical model and the CPI stack use
+//!    (`bmp_core::penalty::local_decomposition`) — for every machine,
+//!    trace and seed, [`StaticBounds::check_model`] against the model's
+//!    own totals is empty, the CPI stack's branch cycles equal the
+//!    model's local resolution plus refill, and the analysis's
+//!    `scheduled_cycles` equals a fresh whole-trace schedule.
 //! 2. Its per-misprediction resolution envelope and refill identity are
 //!    *proven* — every simulated total sits inside them, whichever
 //!    engine produced it.
@@ -19,7 +22,7 @@
 //! a chance to surface.
 
 use bmp_analyze::staticpass::bounds;
-use bmp_core::{cpi, ModelMetrics, PenaltyModel};
+use bmp_core::{cpi, drain, penalty, FunctionalOutcome, ModelMetrics, PenaltyModel};
 use bmp_sim::Simulator;
 use bmp_uarch::{LatencyTable, MachineConfig, MachineConfigBuilder, PredictorConfig};
 use bmp_workloads::WorkloadProfile;
@@ -123,17 +126,37 @@ proptest! {
     ) {
         let trace = profile.generate(2_000, seed);
         let b = bounds::compute(&cfg, &trace);
-        let analysis = PenaltyModel::new(cfg.clone()).analyze(&trace);
-        let m = ModelMetrics::from_analysis(&analysis, cpi::predict(&trace, &cfg));
+        let outcome = FunctionalOutcome::compute(&trace, &cfg);
+        let analysis = PenaltyModel::new(cfg.clone()).analyze_with(&trace, &outcome);
+        let stack = cpi::predict_with(&trace, &cfg, &outcome);
+        let m = ModelMetrics::from_analysis(&analysis, stack);
         prop_assert_eq!(m.intervals, b.intervals, "interval segmentation agrees");
         let violations = b.check_model(&m);
         prop_assert!(violations.is_empty(), "model violations: {:?}", violations);
-        // Every local contributor is an exact replay, not just a range.
+        // Every local contributor is exact, not just a range.
         for (name, bound) in b.contributor_rows() {
             if !matches!(name, "carryover (ii)" | "resolution" | "penalty") {
                 prop_assert!(bound.is_exact(), "{} must be exact", name);
             }
         }
+        // The CPI stack charges each misprediction its local resolution
+        // plus refill — the model's own breakdowns, summed.
+        let branch_cycles: f64 = analysis
+            .breakdowns
+            .iter()
+            .map(|x| (x.local_resolution + u64::from(x.frontend)) as f64)
+            .sum();
+        prop_assert_eq!(stack.branch_cycles, branch_cycles);
+        // The recorded schedule length is the whole-trace schedule's.
+        let schedule = drain::schedule_trace(
+            trace.ops(),
+            drain::MachineModel::from(&cfg),
+            &cfg.latencies,
+            |i| outcome.load_latency[i],
+            &penalty::frontend_events_of(&cfg, &outcome),
+            false,
+        );
+        prop_assert_eq!(analysis.scheduled_cycles, schedule.total_cycles());
     }
 
     /// Claim 2: simulated resolution/refill totals from BOTH engines sit

@@ -453,8 +453,8 @@ impl Ctx {
 
     /// The dependence-graph static bounds of `trace` under `cfg` (see
     /// `bmp_analyze::staticpass`), cached by `(config fingerprint,
-    /// trace key)`. The pass replays the interval model's schedule, so
-    /// its time is attributed to the analysis phase.
+    /// trace key)`. The pass runs the interval model's knock-out
+    /// cascade, so its time is attributed to the analysis phase.
     pub fn static_bounds(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<StaticBounds> {
         let key = cache_key("static", &[cfg.fingerprint(), trace.key]);
         self.statics.get_or_compute(key, || {

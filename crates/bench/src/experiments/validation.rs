@@ -41,7 +41,7 @@ pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
             .collect();
         let v = ValidationReport::from_pairs(&analysis, &measured);
         let stack = cpi::predict(&trace, &cfg);
-        let sched = cpi::predict_cycles_scheduled(&trace, &cfg) as f64 / trace.len() as f64;
+        let sched = analysis.scheduled_cycles as f64 / trace.len() as f64;
         t.push_row(vec![
             profile.name.clone(),
             f3(v.event_agreement()),

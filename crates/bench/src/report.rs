@@ -8,6 +8,7 @@
 
 use std::path::Path;
 
+use bmp_core::json::escape_string;
 use bmp_core::{ExperimentMetrics, WorkloadMetrics};
 
 use crate::Table;
@@ -263,22 +264,6 @@ pub fn to_csv(docs: &[ExperimentMetrics]) -> String {
     out
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_opt3(v: Option<f64>) -> String {
     v.map(fmt3).unwrap_or_else(|| "null".into())
 }
@@ -297,7 +282,7 @@ pub fn to_json(docs: &[ExperimentMetrics]) -> String {
         }
         out.push_str(&format!(
             "\n    {{ \"experiment\": {}, \"ops\": {}, \"seed\": {}, \"workloads\": [",
-            json_str(&doc.name),
+            escape_string(&doc.name),
             doc.ops,
             doc.seed
         ));
@@ -317,8 +302,8 @@ pub fn to_json(docs: &[ExperimentMetrics]) -> String {
                  \"intervals\": {{ \"bmiss\": {}, \"il1\": {}, \"il2\": {}, \"dlong\": {} }}, \
                  \"resolution_total\": {}, \"refill_total\": {}, \"occupancy_total\": {}, \
                  \"mean_penalty\": {}",
-                json_str(&w.workload),
-                json_str(&w.predictor),
+                escape_string(&w.workload),
+                escape_string(&w.predictor),
                 w.instructions,
                 w.cycles,
                 w.mispredicts,
@@ -340,7 +325,7 @@ pub fn to_json(docs: &[ExperimentMetrics]) -> String {
                 out.push_str(&format!(
                     "{{ \"class\": {}, \"sites\": {}, \"intervals\": {}, \
                      \"local_resolution\": {}, \"refill\": {}, \"total\": {} }}",
-                    json_str(&c.class),
+                    escape_string(&c.class),
                     c.sites,
                     c.intervals,
                     c.local_resolution,

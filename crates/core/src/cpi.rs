@@ -4,8 +4,8 @@
 //! penalty per miss event:
 //!
 //! * **base** — `N / D` cycles for `N` instructions at dispatch width `D`;
-//! * **branch** — per misprediction, `resolution + c_fe` from the
-//!   [`penalty`](crate::penalty) model;
+//! * **branch** — per misprediction, the local resolution plus `c_fe`,
+//!   from the [`penalty`](crate::penalty) model's knock-out cascade;
 //! * **icache** — per I-cache miss, the fetch-delivery delay of the level
 //!   that served it;
 //! * **long D-miss** — per *isolated* long data miss, the memory latency;
@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::functional::FunctionalOutcome;
 use crate::intervals::IntervalEventKind;
-use crate::penalty::PenaltyModel;
+use crate::penalty::local_decomposition;
 
 /// Predicted cycle counts per component.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,8 +71,8 @@ impl CpiStack {
 
 /// Builds the CPI stack for a trace on a machine.
 ///
-/// Runs the functional pass and the penalty model internally; use
-/// [`predict_with`] to reuse existing results.
+/// Runs the functional pass internally; use [`predict_with`] to reuse
+/// an existing one.
 ///
 /// # Examples
 ///
@@ -92,26 +92,22 @@ pub fn predict(trace: &Trace, cfg: &MachineConfig) -> CpiStack {
 
 /// Builds the CPI stack from an existing functional pass.
 pub fn predict_with(trace: &Trace, cfg: &MachineConfig, outcome: &FunctionalOutcome) -> CpiStack {
-    let analysis = PenaltyModel::new(cfg.clone()).analyze_with(trace, outcome);
     // First-order stack: the *local* resolution per misprediction, so
     // overlap with other events (already counted in their own
     // components) is not double-charged.
-    let branch_cycles: f64 = analysis
-        .breakdowns
+    let (_, locals) = local_decomposition(cfg, trace, outcome);
+    let branch_cycles: f64 = locals
         .iter()
-        .map(|b| (b.local_resolution + u64::from(b.frontend)) as f64)
+        .map(|t| (t.local_resolution + u64::from(cfg.frontend_depth)) as f64)
         .sum();
 
-    let short_ifetch = f64::from(cfg.caches.short_dmiss_latency());
-    let long_ifetch = f64::from(cfg.caches.short_dmiss_latency() + cfg.caches.mem_latency());
     let mut icache_cycles = 0.0;
     let mut long_positions = Vec::new();
     for e in &outcome.events {
-        match e.kind {
-            IntervalEventKind::ICacheMiss => icache_cycles += short_ifetch,
-            IntervalEventKind::ICacheLongMiss => icache_cycles += long_ifetch,
-            IntervalEventKind::LongDCacheMiss => long_positions.push(e.pos),
-            IntervalEventKind::BranchMispredict => {}
+        if let Some(stall) = e.kind.fetch_stall(&cfg.caches) {
+            icache_cycles += f64::from(stall);
+        } else if e.kind == IntervalEventKind::LongDCacheMiss {
+            long_positions.push(e.pos);
         }
     }
 
@@ -147,37 +143,6 @@ pub fn predict_with(trace: &Trace, cfg: &MachineConfig, outcome: &FunctionalOutc
         icache_cycles,
         long_dmiss_cycles,
     }
-}
-
-/// Predicts total execution cycles via the whole-trace schedule
-/// ("interval simulation") rather than the additive stack — slower than
-/// [`predict`] but capturing event overlap, so it tracks the cycle-level
-/// simulator more closely.
-///
-/// # Examples
-///
-/// ```
-/// use bmp_core::cpi;
-/// use bmp_uarch::presets;
-/// use bmp_workloads::spec;
-///
-/// let trace = spec::by_name("gzip").unwrap().generate(10_000, 1);
-/// let cfg = presets::baseline_4wide();
-/// let cycles = cpi::predict_cycles_scheduled(&trace, &cfg);
-/// assert!(cycles as usize >= trace.len() / 4);
-/// ```
-pub fn predict_cycles_scheduled(trace: &Trace, cfg: &MachineConfig) -> u64 {
-    let outcome = FunctionalOutcome::compute(trace, cfg);
-    let events = crate::penalty::frontend_events_of(cfg, &outcome);
-    let schedule = crate::drain::schedule_trace(
-        trace.ops(),
-        crate::drain::MachineModel::from(cfg),
-        &cfg.latencies,
-        |i| outcome.load_latency[i],
-        &events,
-        false,
-    );
-    schedule.total_cycles()
 }
 
 /// Returns `true` when `consumer`'s value transitively depends on

@@ -1,5 +1,6 @@
 //! Segmentation of the instruction stream into inter-miss intervals.
 
+use bmp_uarch::HierarchyConfig;
 use serde::{Deserialize, Serialize};
 
 /// The miss-event kinds of interval analysis.
@@ -23,6 +24,19 @@ impl IntervalEventKind {
             IntervalEventKind::ICacheMiss => "il1",
             IntervalEventKind::ICacheLongMiss => "il2",
             IntervalEventKind::LongDCacheMiss => "dlong",
+        }
+    }
+
+    /// The fetch stall an I-cache miss of this kind injects, in cycles:
+    /// the short-miss latency when the L2 serves it, plus the memory
+    /// latency when memory does. `None` for the other kinds.
+    pub fn fetch_stall(self, caches: &HierarchyConfig) -> Option<u32> {
+        match self {
+            IntervalEventKind::ICacheMiss => Some(caches.short_dmiss_latency()),
+            IntervalEventKind::ICacheLongMiss => {
+                Some(caches.short_dmiss_latency() + caches.mem_latency())
+            }
+            IntervalEventKind::BranchMispredict | IntervalEventKind::LongDCacheMiss => None,
         }
     }
 }

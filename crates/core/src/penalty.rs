@@ -27,11 +27,14 @@
 //! the window cap moves `enter` too, the knocked-out resolutions are
 //! additionally cascaded through a running floor, so every term is
 //! non-negative and they sum exactly to the *local* resolution (the
-//! interval scheduled in isolation, window empty at its start). The branch's *effective* resolution comes from the
-//! whole-trace schedule ([`drain::schedule_trace`](crate::drain)), which
-//! additionally sees issue-bandwidth contention, ROB fill from long
-//! misses, and the window state carried over from before the interval;
-//! the difference is reported as [`PenaltyBreakdown::carryover`].
+//! interval scheduled in isolation, window empty at its start). This
+//! local half is computed in one place, [`local_decomposition`], which
+//! the model, the CPI stack and the static pass share. The branch's
+//! *effective* resolution comes from the whole-trace schedule
+//! ([`drain::schedule_trace`](crate::drain)), which additionally sees
+//! issue-bandwidth contention, ROB fill from long misses, and the window
+//! state carried over from before the interval; the difference is
+//! reported as [`PenaltyBreakdown::carryover`].
 //!
 //! Contributor (ii) — instructions since the last miss event — manifests
 //! twice: as the ramp-up inside the local schedule, and as the
@@ -49,24 +52,15 @@ use crate::intervals::{segment, Interval, IntervalEventKind, LENGTH_BUCKETS};
 /// Translates the functional pass's miss events into the frontend events
 /// of the whole-trace schedule (long D-misses act through load latencies
 /// and the ROB cap, not through the frontend).
-pub(crate) fn frontend_events_of(
-    cfg: &MachineConfig,
-    outcome: &FunctionalOutcome,
-) -> Vec<FrontendEvent> {
+pub fn frontend_events_of(cfg: &MachineConfig, outcome: &FunctionalOutcome) -> Vec<FrontendEvent> {
     outcome
         .events
         .iter()
         .filter_map(|e| match e.kind {
             IntervalEventKind::BranchMispredict => Some(FrontendEvent::Mispredict { pos: e.pos }),
-            IntervalEventKind::ICacheMiss => Some(FrontendEvent::FetchStall {
-                pos: e.pos,
-                extra: cfg.caches.short_dmiss_latency(),
-            }),
-            IntervalEventKind::ICacheLongMiss => Some(FrontendEvent::FetchStall {
-                pos: e.pos,
-                extra: cfg.caches.short_dmiss_latency() + cfg.caches.mem_latency(),
-            }),
-            IntervalEventKind::LongDCacheMiss => None,
+            kind => kind
+                .fetch_stall(&cfg.caches)
+                .map(|extra| FrontendEvent::FetchStall { pos: e.pos, extra }),
         })
         .collect()
 }
@@ -123,6 +117,11 @@ pub struct PenaltyAnalysis {
     pub frontend_depth: u32,
     /// Total instructions analyzed.
     pub instructions: usize,
+    /// Total cycles of the whole-trace schedule — the interval model's
+    /// execution-time prediction including event overlap, which tracks
+    /// the cycle-level simulator more closely than the additive CPI
+    /// stack.
+    pub scheduled_cycles: u64,
 }
 
 impl PenaltyAnalysis {
@@ -346,36 +345,106 @@ impl PenaltyModel {
     /// Analyzes a trace given an existing functional pass (lets callers
     /// reuse one pass across several analyses).
     pub fn analyze_with(&self, trace: &Trace, outcome: &FunctionalOutcome) -> PenaltyAnalysis {
-        let intervals = segment(trace.len(), &outcome.events);
-        let params = WindowParams::from(&self.cfg);
-        let model = MachineModel::from(&self.cfg);
-        let l1_hit = self.cfg.caches.l1d().hit_latency();
-        let unit = LatencyTable::unit();
+        let (intervals, locals) = local_decomposition(&self.cfg, trace, outcome);
 
         // Whole-trace schedule: effective resolutions with cross-interval
         // state (window carryover, issue bandwidth, ROB fill).
-        let frontend_events = frontend_events_of(&self.cfg, outcome);
         let global = schedule_trace(
             trace.ops(),
-            model,
+            MachineModel::from(&self.cfg),
             &self.cfg.latencies,
             |i| outcome.load_latency[i],
-            &frontend_events,
+            &frontend_events_of(&self.cfg, outcome),
             false,
         );
 
-        let mut breakdowns = Vec::new();
-        for iv in &intervals {
-            if iv.kind != Some(IntervalEventKind::BranchMispredict) {
-                continue;
-            }
-            let ops = &trace.ops()[iv.start..=iv.end];
-            let branch_off = ops.len() - 1;
-            let real_load = |i: usize| outcome.load_latency[iv.start + i];
+        let breakdowns = locals
+            .iter()
+            .map(|t| {
+                let resolution = global.resolution(t.interval.end);
+                let b = PenaltyBreakdown {
+                    branch_idx: t.interval.end,
+                    interval_start: t.interval.start,
+                    interval_len: t.interval.len(),
+                    resolution,
+                    local_resolution: t.local_resolution,
+                    frontend: self.cfg.frontend_depth,
+                    base: t.base,
+                    ilp: t.ilp,
+                    fu_latency: t.fu_latency,
+                    short_dmiss: t.short_dmiss,
+                    carryover: resolution as i64 - t.local_resolution as i64,
+                };
+                // Conservation identities, mirrored by lint BMP202 and the
+                // static-bounds checks (`crate::identities`).
+                debug_assert!(
+                    crate::identities::breakdown_consistent(&b),
+                    "knock-out terms must sum to the local resolution and \
+                     carryover must reconcile it with the effective resolution \
+                     (BMP202): {b:?}"
+                );
+                b
+            })
+            .collect();
 
-            let r_local = schedule_interval(ops, params, &self.cfg.latencies, real_load, false)
+        PenaltyAnalysis {
+            intervals,
+            breakdowns,
+            frontend_depth: self.cfg.frontend_depth,
+            instructions: trace.len(),
+            scheduled_cycles: global.total_cycles(),
+        }
+    }
+}
+
+/// The local knock-out terms of one mispredicted-branch interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalTerms {
+    /// The interval, ending at the mispredicted branch.
+    pub interval: Interval,
+    /// Resolution of the interval scheduled in isolation (window empty
+    /// at interval start); the four terms below sum to exactly this.
+    pub local_resolution: u64,
+    /// The resolution floor: dispatch-to-issue plus the branch's own
+    /// execution.
+    pub base: u64,
+    /// Contributor (iii): dependence-chain (inherent ILP) share.
+    pub ilp: u64,
+    /// Contributor (iv): functional-unit-latency share.
+    pub fu_latency: u64,
+    /// Contributor (v): short D-cache-miss share.
+    pub short_dmiss: u64,
+}
+
+/// The local half of the decomposition: segments `trace` at the
+/// functional pass's miss events and runs the knock-out cascade on every
+/// mispredicted-branch interval. The whole-trace schedule is not run, so
+/// callers that need only the local terms (the CPI stack, the static
+/// pass) pay for nothing else.
+///
+/// Returns every interval of the trace and, in trace order, the local
+/// terms of the mispredicted-branch ones.
+pub fn local_decomposition(
+    cfg: &MachineConfig,
+    trace: &Trace,
+    outcome: &FunctionalOutcome,
+) -> (Vec<Interval>, Vec<LocalTerms>) {
+    let intervals = segment(trace.len(), &outcome.events);
+    let params = WindowParams::from(cfg);
+    let l1_hit = cfg.caches.l1d().hit_latency();
+    let unit = LatencyTable::unit();
+
+    let locals = intervals
+        .iter()
+        .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
+        .map(|&interval| {
+            let ops = &trace.ops()[interval.start..=interval.end];
+            let branch_off = ops.len() - 1;
+            let real_load = |i: usize| outcome.load_latency[interval.start + i];
+
+            let r_local = schedule_interval(ops, params, &cfg.latencies, real_load, false)
                 .resolution(branch_off);
-            let r_l1 = schedule_interval(ops, params, &self.cfg.latencies, |_| Some(l1_hit), false)
+            let r_l1 = schedule_interval(ops, params, &cfg.latencies, |_| Some(l1_hit), false)
                 .resolution(branch_off);
             let r_unit =
                 schedule_interval(ops, params, &unit, |_| Some(1), false).resolution(branch_off);
@@ -391,38 +460,17 @@ impl PenaltyModel {
             let r_l1 = r_l1.min(r_local);
             let r_unit = r_unit.min(r_l1);
             let r_base = r_base.min(r_unit);
-            let resolution = global.resolution(iv.end);
-            let b = PenaltyBreakdown {
-                branch_idx: iv.end,
-                interval_start: iv.start,
-                interval_len: iv.len(),
-                resolution,
+            LocalTerms {
+                interval,
                 local_resolution: r_local,
-                frontend: self.cfg.frontend_depth,
                 base: r_base,
                 ilp: r_unit - r_base,
                 fu_latency: r_l1 - r_unit,
                 short_dmiss: r_local - r_l1,
-                carryover: resolution as i64 - r_local as i64,
-            };
-            // Conservation identities, mirrored by lint BMP202 and the
-            // static-bounds checks (`crate::identities`).
-            debug_assert!(
-                crate::identities::breakdown_consistent(&b),
-                "knock-out terms must sum to the local resolution and \
-                 carryover must reconcile it with the effective resolution \
-                 (BMP202): {b:?}"
-            );
-            breakdowns.push(b);
-        }
-
-        PenaltyAnalysis {
-            intervals,
-            breakdowns,
-            frontend_depth: self.cfg.frontend_depth,
-            instructions: trace.len(),
-        }
-    }
+            }
+        })
+        .collect();
+    (intervals, locals)
 }
 
 #[cfg(test)]

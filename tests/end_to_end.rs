@@ -135,7 +135,8 @@ fn cpi_stack_tracks_simulator_within_bounds() {
         let trace = spec::by_name(name).unwrap().generate(OPS, 11);
         let measured = Simulator::new(machine.clone()).run(&trace).cpi();
         let stack = cpi::predict(&trace, &machine).cpi();
-        let sched = cpi::predict_cycles_scheduled(&trace, &machine) as f64 / OPS as f64;
+        let analysis = PenaltyModel::new(machine.clone()).analyze(&trace);
+        let sched = analysis.scheduled_cycles as f64 / OPS as f64;
         let stack_err = (stack - measured).abs() / measured;
         let sched_err = (sched - measured).abs() / measured;
         assert!(stack_err < 0.35, "{name}: stack CPI {stack} vs {measured}");
