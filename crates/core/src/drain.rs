@@ -19,9 +19,19 @@
 //!   the inherent-ILP contributor (iii);
 //! * latencies scale every chain — contributor (iv);
 //! * short D-cache misses locally stretch chains — contributor (v).
+//!
+//! The penalty decomposition schedules every mispredicted interval under
+//! four knock-outs at once. [`schedule_lanes`] advances `L` *lanes* — each
+//! a latency table, a load-latency rule and a dependence rule, compiled
+//! once per machine into a [`LaneSet`] — in lockstep over the interval:
+//! the ops are decoded and the dispatch counter advanced once for all
+//! lanes, and the per-lane cycles go into a [`LaneSchedule`] the caller
+//! reuses across intervals. [`schedule_interval`] is its one-lane form.
+//! [`schedule_trace`] applies the same rules to the whole trace, adding
+//! frontend events, the ROB cap and issue bandwidth.
 
 use bmp_trace::MicroOp;
-use bmp_uarch::{LatencyTable, MachineConfig, OpClass};
+use bmp_uarch::{LatencyTable, MachineConfig, OpClass, OP_CLASSES};
 
 /// Scheduling parameters extracted from a machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +76,167 @@ impl IntervalSchedule {
     }
 }
 
-/// Schedules `ops` (one interval, oldest first) under the window model.
+/// One lane of [`schedule_lanes`]: the latencies and dependence rule one
+/// knock-out schedules an interval under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane {
+    /// Per-class latencies; loads use the table's load latency only when
+    /// neither `load_latency` nor the caller supplies one.
+    pub latencies: LatencyTable,
+    /// The latency every load takes in this lane; `None` takes the
+    /// caller's per-load latency.
+    pub load_latency: Option<u32>,
+    /// Schedule without dependence constraints.
+    pub ignore_deps: bool,
+}
+
+/// `L` lanes compiled into per-class latency rows. Build it once per
+/// machine configuration and reuse it across intervals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneSet<const L: usize> {
+    /// `latency[class][lane]` in [`OP_CLASSES`] order, at least 1.
+    latency: [[u64; L]; 9],
+    /// Lanes whose loads take the caller's per-load latency.
+    observed: [bool; L],
+    /// All ones for lanes that honour dependences, zero for the others,
+    /// so `start.max(done & mask)` applies a dependence only where it
+    /// binds.
+    dep_mask: [u64; L],
+}
+
+impl<const L: usize> LaneSet<L> {
+    /// Compiles `lanes`.
+    pub fn new(lanes: [Lane; L]) -> Self {
+        Self {
+            latency: std::array::from_fn(|c| {
+                let class = OP_CLASSES[c];
+                lanes.map(|lane| {
+                    let cycles = match lane.load_latency {
+                        Some(fixed) if class == OpClass::Load => fixed,
+                        _ => lane.latencies.latency(class),
+                    };
+                    u64::from(cycles).max(1)
+                })
+            }),
+            observed: lanes.map(|lane| lane.load_latency.is_none()),
+            dep_mask: lanes.map(|lane| if lane.ignore_deps { 0 } else { u64::MAX }),
+        }
+    }
+}
+
+/// The schedules [`schedule_lanes`] computes, one per lane, op by op.
+/// Reuse one across intervals: scheduling clears it but keeps its
+/// buffers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LaneSchedule<const L: usize> {
+    enter: Vec<[u64; L]>,
+    issue: Vec<[u64; L]>,
+    done: Vec<[u64; L]>,
+}
+
+impl<const L: usize> LaneSchedule<L> {
+    /// An empty schedule.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The resolution time of op `i` in every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not an op of the last scheduled interval.
+    pub fn resolution(&self, i: usize) -> [u64; L] {
+        std::array::from_fn(|l| self.done[i][l] - self.enter[i][l])
+    }
+
+    /// Lane `l`'s schedule on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= L`.
+    pub fn lane(&self, l: usize) -> IntervalSchedule {
+        let column = |v: &[[u64; L]]| v.iter().map(|cycles| cycles[l]).collect();
+        IntervalSchedule {
+            enter: column(&self.enter),
+            issue: column(&self.issue),
+            done: column(&self.done),
+        }
+    }
+}
+
+/// Schedules `ops` (one interval, oldest first) under the window model
+/// once per lane, all lanes in lockstep, into `out`.
+///
+/// `load_latency(i)` supplies the latency of the load at interval-relative
+/// position `i` (from the functional cache pass) to the lanes without a
+/// fixed load latency; `None` falls back to the lane's table. Dependences
+/// whose distance reaches before the interval are treated as ready at
+/// cycle 0 — the previous interval has drained past them.
+///
+/// Per op and lane: entry is the dispatch-rate cycle (`D` ops per cycle
+/// from cycle 0), but not before op `i − W` has issued in that lane;
+/// issue is one cycle after entry (dispatch-to-issue, matching the
+/// simulator) and not before the op's producers are done; done is issue
+/// plus the class latency.
+pub fn schedule_lanes<const L: usize, F>(
+    ops: &[MicroOp],
+    params: WindowParams,
+    lanes: &LaneSet<L>,
+    mut load_latency: F,
+    out: &mut LaneSchedule<L>,
+) where
+    F: FnMut(usize) -> Option<u32>,
+{
+    let d = u64::from(params.dispatch_width.max(1));
+    let w = params.window_size as usize;
+    let LaneSchedule { enter, issue, done } = out;
+    enter.clear();
+    issue.clear();
+    done.clear();
+    // Dispatch-rate entry as a running counter: `slot` ops have already
+    // entered at `cycle`.
+    let (mut cycle, mut slot) = (0u64, 0u64);
+    for (i, op) in ops.iter().enumerate() {
+        let mut e = [cycle; L];
+        if i >= w {
+            let freed = issue[i - w];
+            e = std::array::from_fn(|l| e[l].max(freed[l]));
+        }
+        let mut start = e.map(|c| c + 1);
+        for dist in op.src_distances() {
+            let dist = dist as usize;
+            if dist <= i {
+                let ready = done[i - dist];
+                start = std::array::from_fn(|l| start[l].max(ready[l] & lanes.dep_mask[l]));
+            }
+        }
+        let class = op.class();
+        let mut latency = lanes.latency[class.index()];
+        if class == OpClass::Load {
+            if let Some(cycles) = load_latency(i) {
+                let cycles = u64::from(cycles).max(1);
+                latency = std::array::from_fn(|l| {
+                    if lanes.observed[l] {
+                        cycles
+                    } else {
+                        latency[l]
+                    }
+                });
+            }
+        }
+        enter.push(e);
+        issue.push(start);
+        done.push(std::array::from_fn(|l| start[l] + latency[l]));
+        slot += 1;
+        if slot == d {
+            slot = 0;
+            cycle += 1;
+        }
+    }
+}
+
+/// Schedules `ops` (one interval, oldest first) under the window model:
+/// [`schedule_lanes`] with one lane.
 ///
 /// `load_latency(i)` supplies the latency of the load at interval-relative
 /// position `i` (from the functional cache pass); non-loads use `lat`.
@@ -97,48 +267,20 @@ pub fn schedule_interval<F>(
     ops: &[MicroOp],
     params: WindowParams,
     lat: &LatencyTable,
-    mut load_latency: F,
+    load_latency: F,
     ignore_deps: bool,
 ) -> IntervalSchedule
 where
     F: FnMut(usize) -> Option<u32>,
 {
-    let d = u64::from(params.dispatch_width.max(1));
-    let w = params.window_size as usize;
-    let n = ops.len();
-    let mut enter = Vec::with_capacity(n);
-    let mut issue = Vec::with_capacity(n);
-    let mut done = Vec::with_capacity(n);
-    for (i, op) in ops.iter().enumerate() {
-        // Dispatch-rate entry: D ops per cycle, starting at cycle 0.
-        let mut e = i as u64 / d;
-        // Window cap: op i waits for op i-W to have issued.
-        if i >= w {
-            e = e.max(issue[i - w]);
-        }
-        // Data-flow constraint. Issue is at least one cycle after entry
-        // (dispatch-to-issue latency, matching the simulator's timing).
-        let mut start = e + 1;
-        if !ignore_deps {
-            for dist in op.src_distances() {
-                let dist = dist as usize;
-                if dist <= i {
-                    start = start.max(done[i - dist]);
-                }
-            }
-        }
-        let latency = match op.class() {
-            OpClass::Load => {
-                u64::from(load_latency(i).unwrap_or_else(|| lat.latency(OpClass::Load)))
-            }
-            c => u64::from(lat.latency(c)),
-        }
-        .max(1);
-        enter.push(e);
-        issue.push(start);
-        done.push(start + latency);
-    }
-    IntervalSchedule { enter, issue, done }
+    let lanes = LaneSet::new([Lane {
+        latencies: *lat,
+        load_latency: None,
+        ignore_deps,
+    }]);
+    let mut out = LaneSchedule::new();
+    schedule_lanes(ops, params, &lanes, load_latency, &mut out);
+    out.lane(0)
 }
 
 /// Full machine parameters for the whole-trace schedule.
@@ -224,60 +366,124 @@ impl TraceSchedule {
     }
 }
 
-/// Per-cycle issue-slot ledger: total issue width plus per-FU-kind
-/// capacity.
+/// Per-cycle issue-slot ledger. Each cycle is one 8-byte cell: byte 0
+/// counts the ops issued that cycle, byte `1 + k` the busy units of FU
+/// kind `k`. No count passes its limit (at most 255), so bytes never
+/// carry into each other.
+///
+/// The ledger covers cycles `base..base + cells.len()`. Requests never
+/// start before the entry cycle of the op being scheduled, which only
+/// grows, so cycles below it are dropped when the ledger has to grow and
+/// they make up at least half of it.
 struct SlotLedger {
-    total: Vec<u8>,
-    kinds: Vec<[u8; 5]>,
-    issue_width: u8,
-    fu_counts: [u8; 5],
+    cells: Vec<u64>,
+    base: u64,
+    /// No request will start before this cycle.
+    floor: u64,
+    issue_width: u64,
+    fu_counts: [u64; 5],
 }
 
 impl SlotLedger {
     fn new(issue_width: u32, fu_counts: [u8; 5]) -> Self {
         Self {
-            total: Vec::new(),
-            kinds: Vec::new(),
-            issue_width: issue_width.min(255) as u8,
-            fu_counts,
+            cells: Vec::new(),
+            base: 0,
+            floor: 0,
+            issue_width: u64::from(issue_width.min(255)),
+            fu_counts: fu_counts.map(u64::from),
         }
+    }
+
+    /// Promises that no later request starts before `cycle`.
+    fn retire_before(&mut self, cycle: u64) {
+        self.floor = cycle;
+    }
+
+    /// The index of cycle `t`, with cells through `t + span` present.
+    #[inline]
+    fn index(&mut self, t: u64, span: usize) -> usize {
+        let i = (t - self.base) as usize;
+        if i + span < self.cells.len() {
+            i
+        } else {
+            self.grow(i, span)
+        }
+    }
+
+    /// [`SlotLedger::index`] past the end: drops the retired cycles if
+    /// they are at least half the ledger, then extends it.
+    #[cold]
+    fn grow(&mut self, mut i: usize, span: usize) -> usize {
+        let dead = ((self.floor - self.base) as usize).min(self.cells.len());
+        if dead >= self.cells.len() / 2 {
+            self.cells.drain(..dead);
+            self.base += dead as u64;
+            i -= dead;
+        }
+        self.cells.resize(i + span + 64, 0);
+        i
     }
 
     /// First cycle `>= start` where an issue slot is free and a unit of
     /// `kind` is free for `occupancy` consecutive cycles; books both.
     /// Pipelined classes use occupancy 1; non-pipelined divides hold
     /// their unit for the full latency, exactly as the simulator does.
+    #[inline]
     fn allocate(&mut self, start: u64, kind: usize, occupancy: u64) -> u64 {
-        let occ = occupancy.max(1) as usize;
-        let mut t = start as usize;
-        'search: loop {
-            let need = t + occ;
-            if need >= self.total.len() {
-                self.total.resize(need + 64, 0);
-                self.kinds.resize(need + 64, [0; 5]);
+        if occupancy > 1 {
+            return self.allocate_blocking(start, kind, occupancy as usize);
+        }
+        let shift = 8 * (1 + kind);
+        let units = self.fu_counts[kind];
+        let mut t = start;
+        loop {
+            let i = self.index(t, 1);
+            let cell = self.cells[i];
+            if cell & 0xff < self.issue_width && (cell >> shift) & 0xff < units {
+                self.cells[i] = cell + (1 << shift) + 1;
+                return t;
             }
-            if self.total[t] >= self.issue_width {
+            t += 1;
+        }
+    }
+
+    /// [`SlotLedger::allocate`] for a unit held `occ > 1` cycles.
+    #[inline(never)]
+    fn allocate_blocking(&mut self, start: u64, kind: usize, occ: usize) -> u64 {
+        let shift = 8 * (1 + kind);
+        let units = self.fu_counts[kind];
+        let mut t = start;
+        'search: loop {
+            let i = self.index(t, occ);
+            if self.cells[i] & 0xff >= self.issue_width {
                 t += 1;
                 continue;
             }
-            let mut conflict = None;
-            for c in t..t + occ {
-                if self.kinds[c][kind] >= self.fu_counts[kind] {
-                    conflict = Some(c);
-                    break;
+            for (k, &cell) in self.cells[i..i + occ].iter().enumerate() {
+                if (cell >> shift) & 0xff >= units {
+                    t += k as u64 + 1;
+                    continue 'search;
                 }
             }
-            if let Some(c) = conflict {
-                t = c + 1;
-                continue 'search;
+            self.cells[i] += 1;
+            for cell in &mut self.cells[i..i + occ] {
+                *cell += 1 << shift;
             }
-            self.total[t] += 1;
-            for c in t..t + occ {
-                self.kinds[c][kind] += 1;
-            }
-            return t as u64;
+            return t;
         }
     }
+}
+
+/// Per-class constants of the whole-trace schedule.
+#[derive(Clone, Copy)]
+struct ClassInfo {
+    /// Latency (at least 1); loads take theirs from the caller first.
+    latency: u64,
+    /// FU kind index.
+    kind: usize,
+    /// Non-pipelined: holds its unit for the full latency.
+    blocking: bool,
 }
 
 /// Schedules the whole trace under the interval model.
@@ -323,6 +529,11 @@ where
     let mut issue = Vec::with_capacity(n);
     let mut done = Vec::with_capacity(n);
     let mut slots = SlotLedger::new(model.issue_width, model.fu_counts);
+    let classes = OP_CLASSES.map(|c| ClassInfo {
+        latency: u64::from(lat.latency(c)).max(1),
+        kind: c.fu_kind().index(),
+        blocking: matches!(c, OpClass::IntDiv | OpClass::FpDiv),
+    });
 
     // Entry cursor: `cursor` is the cycle the next op would enter;
     // `count` how many already entered that cycle.
@@ -384,19 +595,14 @@ where
         }
         // Issue-slot allocation; divides occupy their unit for the full
         // latency (non-pipelined), everything else for one cycle.
-        let kind = op.class().fu_kind().index();
+        let class = classes[op.class().index()];
         let latency = match op.class() {
-            OpClass::Load => {
-                u64::from(load_latency(i).unwrap_or_else(|| lat.latency(OpClass::Load)))
-            }
-            c => u64::from(lat.latency(c)),
-        }
-        .max(1);
-        let occupancy = match op.class() {
-            OpClass::IntDiv | OpClass::FpDiv => latency,
-            _ => 1,
+            OpClass::Load => load_latency(i).map_or(class.latency, |c| u64::from(c).max(1)),
+            _ => class.latency,
         };
-        let s = slots.allocate(start, kind, occupancy);
+        let occupancy = if class.blocking { latency } else { 1 };
+        slots.retire_before(e);
+        let s = slots.allocate(start, class.kind, occupancy);
         enter.push(e);
         issue.push(s);
         done.push(s + latency);

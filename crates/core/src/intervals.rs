@@ -3,8 +3,8 @@
 use bmp_uarch::HierarchyConfig;
 use serde::{Deserialize, Serialize};
 
-/// The miss-event kinds of interval analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The miss-event kinds of interval analysis. They order as declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum IntervalEventKind {
     /// Mispredicted branch (conditional direction or return target).
     BranchMispredict,

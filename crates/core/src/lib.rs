@@ -17,7 +17,7 @@
 //!   branch's *resolution time* is read off;
 //! * [`penalty`] — the paper's centerpiece: per-misprediction penalty
 //!   `= resolution + frontend refill`, decomposed into the five
-//!   contributors by knock-out re-scheduling;
+//!   contributors by knock-out lanes scheduled in one pass;
 //! * [`closed_form`] — the statistics-only penalty estimate built from
 //!   the `I_W(k)` ILP curve and the interval-length distribution;
 //! * [`cpi`] — the interval-model CPI stack built on the same machinery;

@@ -10,12 +10,13 @@
 //! penalty = resolution + frontend refill (c_fe)
 //! ```
 //!
-//! The resolution is then decomposed by *knock-out re-scheduling*: the
-//! same interval is re-scheduled with one mechanism neutralized at a
-//! time, and the differences attribute the resolution to the paper's
-//! contributors:
+//! The resolution is then decomposed by *knock-out*: the interval is
+//! scheduled once by the lane kernel [`schedule_lanes`], whose four
+//! lanes run in lockstep — the real schedule and one lane per knock-out
+//! below — and the differences between the lanes' branch resolutions
+//! attribute the resolution to the paper's contributors:
 //!
-//! | term | knock-out | contributor |
+//! | term | knock-out lane | contributor |
 //! |---|---|---|
 //! | `short_dmiss` | loads forced to L1-hit latency | (v) short D-cache misses |
 //! | `fu_latency` | all latencies forced to 1 | (iv) functional-unit latencies |
@@ -41,11 +42,16 @@
 //! *dependence of the resolution on interval length* exposed by
 //! [`PenaltyAnalysis::resolution_by_interval_length`] (experiment E-F3).
 
+use std::collections::BTreeMap;
+
 use bmp_trace::Trace;
 use bmp_uarch::{LatencyTable, MachineConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::drain::{schedule_interval, schedule_trace, FrontendEvent, MachineModel, WindowParams};
+use crate::drain::{
+    schedule_lanes, schedule_trace, FrontendEvent, Lane, LaneSchedule, LaneSet, MachineModel,
+    WindowParams,
+};
 use crate::functional::FunctionalOutcome;
 use crate::intervals::{segment, Interval, IntervalEventKind, LENGTH_BUCKETS};
 
@@ -217,21 +223,24 @@ impl PenaltyAnalysis {
     /// after a long D-miss resolves in that miss's shadow, while one
     /// after another misprediction meets a freshly drained window.
     ///
-    /// Returns `(preceding kind, mean resolution, count)` rows; `None`
-    /// for mispredictions whose interval starts the trace.
+    /// Returns `(preceding kind, mean resolution, count)` rows, most
+    /// frequent first; rows with equal counts come in the fixed
+    /// [`IntervalEventKind`] order, after `None` (mispredictions whose
+    /// interval starts the trace).
     pub fn resolution_by_previous_event(&self) -> Vec<(Option<IntervalEventKind>, f64, u64)> {
-        use std::collections::HashMap;
-        // Map interval start -> kind of the event that ended the
-        // previous interval.
-        let mut prev_kind: HashMap<usize, Option<IntervalEventKind>> = HashMap::new();
-        let mut last: Option<IntervalEventKind> = None;
-        for iv in &self.intervals {
-            prev_kind.insert(iv.start, last);
-            last = iv.kind;
-        }
-        let mut acc: HashMap<Option<IntervalEventKind>, (u64, u64)> = HashMap::new();
+        // Intervals and breakdowns are both in trace order, so one walk
+        // pairs each breakdown with the interval before its own.
+        let mut acc: BTreeMap<Option<IntervalEventKind>, (u64, u64)> = BTreeMap::new();
+        let mut intervals = self.intervals.iter().peekable();
+        let mut before = None;
         for b in &self.breakdowns {
-            let k = prev_kind.get(&b.interval_start).copied().flatten();
+            while let Some(iv) = intervals.next_if(|iv| iv.start < b.interval_start) {
+                before = iv.kind;
+            }
+            let k = match intervals.peek() {
+                Some(iv) if iv.start == b.interval_start => before,
+                _ => None,
+            };
             let e = acc.entry(k).or_default();
             e.0 += b.resolution;
             e.1 += 1;
@@ -240,7 +249,7 @@ impl PenaltyAnalysis {
             .into_iter()
             .map(|(k, (sum, n))| (k, sum as f64 / n as f64, n))
             .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.2));
+        rows.sort_by_key(|r| (std::cmp::Reverse(r.2), r.0));
         rows
     }
 
@@ -416,14 +425,41 @@ pub struct LocalTerms {
     pub short_dmiss: u64,
 }
 
+/// The knock-out lanes in cascade order: real latencies, loads at
+/// L1-hit latency, unit latencies, and unit latencies with dependences
+/// ignored.
+fn knockout_lanes(cfg: &MachineConfig) -> LaneSet<4> {
+    let unit = LatencyTable::unit();
+    let lane = |latencies, load_latency, ignore_deps| Lane {
+        latencies,
+        load_latency,
+        ignore_deps,
+    };
+    LaneSet::new([
+        lane(cfg.latencies, None, false),
+        lane(cfg.latencies, Some(cfg.caches.l1d().hit_latency()), false),
+        lane(unit, Some(1), false),
+        lane(unit, Some(1), true),
+    ])
+}
+
 /// The local half of the decomposition: segments `trace` at the
 /// functional pass's miss events and runs the knock-out cascade on every
-/// mispredicted-branch interval. The whole-trace schedule is not run, so
-/// callers that need only the local terms (the CPI stack, the static
-/// pass) pay for nothing else.
+/// mispredicted-branch interval. Each interval is scheduled once, by the
+/// four-lane kernel [`schedule_lanes`]; one lane buffer serves every
+/// interval. The whole-trace schedule is not run, so callers that need
+/// only the local terms (the CPI stack, the static pass) pay for nothing
+/// else.
 ///
 /// Returns every interval of the trace and, in trace order, the local
 /// terms of the mispredicted-branch ones.
+///
+/// Known gap: [`segment`] keeps only the first event kind at a
+/// position, and the functional pass records an I-cache miss before a
+/// misprediction on the same op. Such a misprediction ends an interval
+/// of I-cache kind, so it gets no terms here and no
+/// [`PenaltyBreakdown`], although the whole-trace schedule still applies
+/// its barrier (about 0.4 % of mispredictions on the bundled sources).
 pub fn local_decomposition(
     cfg: &MachineConfig,
     trace: &Trace,
@@ -431,25 +467,17 @@ pub fn local_decomposition(
 ) -> (Vec<Interval>, Vec<LocalTerms>) {
     let intervals = segment(trace.len(), &outcome.events);
     let params = WindowParams::from(cfg);
-    let l1_hit = cfg.caches.l1d().hit_latency();
-    let unit = LatencyTable::unit();
+    let lanes = knockout_lanes(cfg);
+    let mut schedule = LaneSchedule::new();
 
     let locals = intervals
         .iter()
         .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
         .map(|&interval| {
             let ops = &trace.ops()[interval.start..=interval.end];
-            let branch_off = ops.len() - 1;
             let real_load = |i: usize| outcome.load_latency[interval.start + i];
-
-            let r_local = schedule_interval(ops, params, &cfg.latencies, real_load, false)
-                .resolution(branch_off);
-            let r_l1 = schedule_interval(ops, params, &cfg.latencies, |_| Some(l1_hit), false)
-                .resolution(branch_off);
-            let r_unit =
-                schedule_interval(ops, params, &unit, |_| Some(1), false).resolution(branch_off);
-            let r_base =
-                schedule_interval(ops, params, &unit, |_| Some(1), true).resolution(branch_off);
+            schedule_lanes(ops, params, &lanes, real_load, &mut schedule);
+            let [r_local, r_l1, r_unit, r_base] = schedule.resolution(ops.len() - 1);
 
             // Knock-outs shrink every *completion* monotonically, but the
             // resolution is a difference (done − enter) and the window
@@ -579,10 +607,8 @@ mod tests {
 
     #[test]
     fn fu_latency_share_reacts_to_latency_scaling() {
-        let trace = micro::latency_kernel(20_000, bmp_uarch::OpClass::IntMul);
-        // Interleave mispredictions by running a branchy trace instead:
-        // use the resolution kernel but with multiply-latency ALUs via
-        // scaled latencies.
+        // The resolution kernel's chains, once at default and once at
+        // tripled latencies.
         let branchy = micro::branch_resolution_kernel(20_000, 8, 1.0, 3);
         let base = PenaltyModel::new(wrong_predictor()).analyze(&branchy);
         let scaled_cfg = wrong_predictor()
@@ -597,7 +623,6 @@ mod tests {
             lat_s > lat_b + 5.0,
             "3x latencies must inflate contributor (iv): {lat_s} vs {lat_b}"
         );
-        let _ = trace;
     }
 
     #[test]
@@ -648,6 +673,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Rows with equal counts come in a fixed kind order, so the table is
+    /// the same on every run.
+    #[test]
+    fn previous_event_ties_are_ordered_by_kind() {
+        use IntervalEventKind::*;
+        let kinds = [
+            Some(BranchMispredict),
+            Some(LongDCacheMiss),
+            Some(BranchMispredict),
+            Some(ICacheMiss),
+            Some(BranchMispredict),
+            Some(BranchMispredict),
+            None,
+        ];
+        let intervals: Vec<Interval> = kinds
+            .iter()
+            .enumerate()
+            .map(|(k, &kind)| Interval {
+                start: 10 * k,
+                end: 10 * k + 9,
+                kind,
+            })
+            .collect();
+        // One breakdown per mispredicted interval, resolution 10 * start.
+        let breakdowns = intervals
+            .iter()
+            .filter(|iv| iv.kind == Some(BranchMispredict))
+            .map(|iv| PenaltyBreakdown {
+                branch_idx: iv.end,
+                interval_start: iv.start,
+                interval_len: iv.len(),
+                resolution: 10 * iv.start as u64,
+                local_resolution: 10 * iv.start as u64,
+                frontend: 5,
+                base: 10 * iv.start as u64,
+                ilp: 0,
+                fu_latency: 0,
+                short_dmiss: 0,
+                carryover: 0,
+            })
+            .collect();
+        let analysis = PenaltyAnalysis {
+            intervals,
+            breakdowns,
+            frontend_depth: 5,
+            instructions: 70,
+            scheduled_cycles: 0,
+        };
+        // Each of the four preceding kinds precedes exactly one
+        // misprediction: a four-way tie.
+        let rows = analysis.resolution_by_previous_event();
+        assert_eq!(
+            rows,
+            vec![
+                (None, 0.0, 1),
+                (Some(BranchMispredict), 500.0, 1),
+                (Some(ICacheMiss), 400.0, 1),
+                (Some(LongDCacheMiss), 200.0, 1),
+            ]
+        );
     }
 
     #[test]
