@@ -314,7 +314,8 @@ pub fn compute_with(
             let ops = &trace.ops()[t.interval.start..=t.interval.end];
             dag::critical_path(ops, |i, op| {
                 u64::from(match op.class() {
-                    OpClass::Load => outcome.load_latency[t.interval.start + i]
+                    OpClass::Load => outcome
+                        .load_latency(t.interval.start + i)
                         .unwrap_or_else(|| cfg.latencies.latency(OpClass::Load)),
                     c => cfg.latencies.latency(c),
                 })

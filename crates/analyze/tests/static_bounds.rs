@@ -152,7 +152,7 @@ proptest! {
             trace.ops(),
             drain::MachineModel::from(&cfg),
             &cfg.latencies,
-            |i| outcome.load_latency[i],
+            |i| outcome.load_latency(i),
             &penalty::frontend_events_of(&cfg, &outcome),
             false,
         );

@@ -274,6 +274,8 @@ fn main() -> ExitCode {
     // Sim-vs-static surrogate comparison, computed entirely from the
     // run's warm cache (only the static pass itself is new work).
     report.surrogate = bmp_bench::surrogate::collect(engine.ctx(), scale);
+    // The surrogate's static passes are part of the run's cache work.
+    report.cache = engine.ctx().cache_stats();
 
     // Tables in stable registry order, exactly like the strict path —
     // printed after the run so worker threads never interleave output.

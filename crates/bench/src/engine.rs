@@ -30,8 +30,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bmp_analyze::StaticBounds;
+use bmp_core::cpi::{self, CpiStack};
 use bmp_core::store::DiskStore;
-use bmp_core::{PenaltyAnalysis, PenaltyModel};
+use bmp_core::{FunctionalConfig, FunctionalOutcome, PenaltyAnalysis, PenaltyModel};
 use bmp_sim::{SimOptions, SimResult, Simulator};
 use bmp_uarch::{presets, MachineConfig, OpClass, PredictorConfig};
 use bmp_workloads::{micro, spec, WorkloadProfile};
@@ -128,6 +129,7 @@ pub struct Ctx {
     compiled: Memo<CompiledTrace>,
     superblocks: Memo<bmp_trace::SuperblockMap>,
     sims: Memo<SimResult>,
+    functionals: Memo<FunctionalOutcome>,
     analyses: Memo<PenaltyAnalysis>,
     statics: Memo<StaticBounds>,
     engine: EngineChoice,
@@ -179,6 +181,7 @@ impl Ctx {
             compiled: Memo::default(),
             superblocks: Memo::default(),
             sims: Memo::default(),
+            functionals: Memo::default(),
             analyses: Memo::default(),
             statics: Memo::default(),
             engine,
@@ -439,13 +442,36 @@ impl Ctx {
         res
     }
 
+    /// The functional pass (predictor and caches, no timing) of `trace`
+    /// under `cfg`, cached by `(frontend fingerprint, trace key)`: the
+    /// fingerprint covers only the fields the pass reads (see
+    /// [`FunctionalConfig`]), so machines that differ in depth, widths,
+    /// window, ROB, functional units or latencies share one pass. Its
+    /// time is attributed to the analysis phase.
+    pub fn functional(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<FunctionalOutcome> {
+        let key = cache_key(
+            "functional",
+            &[FunctionalConfig::of(cfg).fingerprint(), trace.key],
+        );
+        self.functionals.get_or_compute(key, || {
+            let t0 = Instant::now();
+            let f = FunctionalOutcome::compute(trace, cfg);
+            PhaseNanos::add(&self.phases.analysis, t0);
+            f
+        })
+    }
+
     /// The interval-model analysis of `trace` under `cfg`, cached by
-    /// `(config fingerprint, trace key)`.
+    /// `(config fingerprint, trace key)`, over the shared
+    /// [`functional`](Ctx::functional) pass.
     pub fn analyze(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<PenaltyAnalysis> {
         let key = cache_key("analysis", &[cfg.fingerprint(), trace.key]);
         self.analyses.get_or_compute(key, || {
+            // Looked up before the clock starts: the pass charges its
+            // own time, once, when it is computed.
+            let functional = self.functional(cfg, trace);
             let t0 = Instant::now();
-            let a = PenaltyModel::new(cfg.clone()).analyze(trace);
+            let a = PenaltyModel::new(cfg.clone()).analyze_with(trace, &functional);
             PhaseNanos::add(&self.phases.analysis, t0);
             a
         })
@@ -453,16 +479,25 @@ impl Ctx {
 
     /// The dependence-graph static bounds of `trace` under `cfg` (see
     /// `bmp_analyze::staticpass`), cached by `(config fingerprint,
-    /// trace key)`. The pass runs the interval model's knock-out
-    /// cascade, so its time is attributed to the analysis phase.
+    /// trace key)`, over the shared [`functional`](Ctx::functional)
+    /// pass. The bounds run the interval model's knock-out cascade, so
+    /// their time is attributed to the analysis phase.
     pub fn static_bounds(&self, cfg: &MachineConfig, trace: &TraceHandle) -> Arc<StaticBounds> {
         let key = cache_key("static", &[cfg.fingerprint(), trace.key]);
         self.statics.get_or_compute(key, || {
+            let functional = self.functional(cfg, trace);
             let t0 = Instant::now();
-            let b = bmp_analyze::staticpass::bounds::compute(cfg, trace);
+            let b = bmp_analyze::staticpass::bounds::compute_with(cfg, trace, &functional);
             PhaseNanos::add(&self.phases.analysis, t0);
             b
         })
+    }
+
+    /// The first-order CPI stack of `trace` under `cfg` (see
+    /// `bmp_core::cpi`), over the shared [`functional`](Ctx::functional)
+    /// pass. Not cached itself: each caller builds it once.
+    pub fn cpi_stack(&self, cfg: &MachineConfig, trace: &TraceHandle) -> CpiStack {
+        cpi::predict_with(trace, cfg, &self.functional(cfg, trace))
     }
 
     /// Cache statistics, for the timing report.
@@ -476,6 +511,8 @@ impl Ctx {
             superblock_misses: self.superblocks.stats().misses(),
             sim_hits: self.sims.stats().hits(),
             sim_misses: self.sims.stats().misses(),
+            functional_hits: self.functionals.stats().hits(),
+            functional_misses: self.functionals.stats().misses(),
             analysis_hits: self.analyses.stats().hits(),
             analysis_misses: self.analyses.stats().misses(),
             static_hits: self.statics.stats().hits(),
@@ -905,6 +942,10 @@ pub struct CacheReport {
     pub sim_hits: u64,
     /// Simulation runs.
     pub sim_misses: u64,
+    /// Functional-pass lookups served from the cache.
+    pub functional_hits: u64,
+    /// Functional passes (predictor and caches over a trace).
+    pub functional_misses: u64,
     /// Analysis lookups served from the cache.
     pub analysis_hits: u64,
     /// Interval-model analysis computations.
@@ -922,6 +963,7 @@ impl CacheReport {
             + self.compiled_hits
             + self.superblock_hits
             + self.sim_hits
+            + self.functional_hits
             + self.analysis_hits
             + self.static_hits;
         let total = hits
@@ -929,6 +971,7 @@ impl CacheReport {
             + self.compiled_misses
             + self.superblock_misses
             + self.sim_misses
+            + self.functional_misses
             + self.analysis_misses
             + self.static_misses;
         if total == 0 {
@@ -936,6 +979,58 @@ impl CacheReport {
         } else {
             hits as f64 / total as f64
         }
+    }
+
+    /// The one-line human-readable form, ending in a newline.
+    fn summary_line(&self) -> String {
+        format!(
+            "cache: traces {}/{} hits, compiled {}/{} hits, superblocks {}/{} hits, \
+             sims {}/{} hits, functional {}/{} hits, analyses {}/{} hits, \
+             statics {}/{} hits ({:.0}% overall hit rate)\n",
+            self.trace_hits,
+            self.trace_hits + self.trace_misses,
+            self.compiled_hits,
+            self.compiled_hits + self.compiled_misses,
+            self.superblock_hits,
+            self.superblock_hits + self.superblock_misses,
+            self.sim_hits,
+            self.sim_hits + self.sim_misses,
+            self.functional_hits,
+            self.functional_hits + self.functional_misses,
+            self.analysis_hits,
+            self.analysis_hits + self.analysis_misses,
+            self.static_hits,
+            self.static_hits + self.static_misses,
+            self.hit_rate() * 100.0
+        )
+    }
+
+    /// The `"cache"` member of `results/bench_timings.json`, indented
+    /// and followed by a comma and newline.
+    fn json_field(&self) -> String {
+        format!(
+            "  \"cache\": {{ \"trace_hits\": {}, \"trace_misses\": {}, \
+             \"compiled_hits\": {}, \"compiled_misses\": {}, \
+             \"superblock_hits\": {}, \"superblock_misses\": {}, \
+             \"sim_hits\": {}, \"sim_misses\": {}, \
+             \"functional_hits\": {}, \"functional_misses\": {}, \
+             \"analysis_hits\": {}, \"analysis_misses\": {}, \
+             \"static_hits\": {}, \"static_misses\": {} }},\n",
+            self.trace_hits,
+            self.trace_misses,
+            self.compiled_hits,
+            self.compiled_misses,
+            self.superblock_hits,
+            self.superblock_misses,
+            self.sim_hits,
+            self.sim_misses,
+            self.functional_hits,
+            self.functional_misses,
+            self.analysis_hits,
+            self.analysis_misses,
+            self.static_hits,
+            self.static_misses
+        )
     }
 }
 
@@ -973,25 +1068,7 @@ impl EngineReport {
         for t in &self.timings {
             out.push_str(&format!("{:>8} ms  {}\n", t.millis, t.name));
         }
-        let c = &self.cache;
-        out.push_str(&format!(
-            "cache: traces {}/{} hits, compiled {}/{} hits, superblocks {}/{} hits, \
-             sims {}/{} hits, analyses {}/{} hits, statics {}/{} hits \
-             ({:.0}% overall hit rate)\n",
-            c.trace_hits,
-            c.trace_hits + c.trace_misses,
-            c.compiled_hits,
-            c.compiled_hits + c.compiled_misses,
-            c.superblock_hits,
-            c.superblock_hits + c.superblock_misses,
-            c.sim_hits,
-            c.sim_hits + c.sim_misses,
-            c.analysis_hits,
-            c.analysis_hits + c.analysis_misses,
-            c.static_hits,
-            c.static_hits + c.static_misses,
-            c.hit_rate() * 100.0
-        ));
+        out.push_str(&self.cache.summary_line());
         out
     }
 
@@ -1010,27 +1087,7 @@ impl EngineReport {
         ));
         out.push_str(&format!("  \"cell_millis\": {},\n", self.cell_millis));
         out.push_str(&format!("  \"total_millis\": {},\n", self.total_millis));
-        let c = &self.cache;
-        out.push_str(&format!(
-            "  \"cache\": {{ \"trace_hits\": {}, \"trace_misses\": {}, \
-             \"compiled_hits\": {}, \"compiled_misses\": {}, \
-             \"superblock_hits\": {}, \"superblock_misses\": {}, \
-             \"sim_hits\": {}, \"sim_misses\": {}, \
-             \"analysis_hits\": {}, \"analysis_misses\": {}, \
-             \"static_hits\": {}, \"static_misses\": {} }},\n",
-            c.trace_hits,
-            c.trace_misses,
-            c.compiled_hits,
-            c.compiled_misses,
-            c.superblock_hits,
-            c.superblock_misses,
-            c.sim_hits,
-            c.sim_misses,
-            c.analysis_hits,
-            c.analysis_misses,
-            c.static_hits,
-            c.static_misses
-        ));
+        out.push_str(&self.cache.json_field());
         out.push_str("  \"experiments\": [\n");
         for (i, t) in self.timings.iter().enumerate() {
             let comma = if i + 1 == self.timings.len() { "" } else { "," };
@@ -1208,6 +1265,7 @@ impl TolerantReport {
         for e in &self.cell_errors {
             out.push_str(&format!("  cell {e} (recovered by owning experiment)\n"));
         }
+        out.push_str(&self.cache.summary_line());
         if !self.surrogate.is_empty() {
             out.push_str(
                 "\n## Static surrogate (mean penalty per misprediction, baseline machine)\n\n",
@@ -1249,27 +1307,7 @@ impl TolerantReport {
         ));
         out.push_str(&format!("  \"cell_millis\": {},\n", self.cell_millis));
         out.push_str(&format!("  \"total_millis\": {},\n", self.total_millis));
-        let c = &self.cache;
-        out.push_str(&format!(
-            "  \"cache\": {{ \"trace_hits\": {}, \"trace_misses\": {}, \
-             \"compiled_hits\": {}, \"compiled_misses\": {}, \
-             \"superblock_hits\": {}, \"superblock_misses\": {}, \
-             \"sim_hits\": {}, \"sim_misses\": {}, \
-             \"analysis_hits\": {}, \"analysis_misses\": {}, \
-             \"static_hits\": {}, \"static_misses\": {} }},\n",
-            c.trace_hits,
-            c.trace_misses,
-            c.compiled_hits,
-            c.compiled_misses,
-            c.superblock_hits,
-            c.superblock_misses,
-            c.sim_hits,
-            c.sim_misses,
-            c.analysis_hits,
-            c.analysis_misses,
-            c.static_hits,
-            c.static_misses
-        ));
+        out.push_str(&self.cache.json_field());
         out.push_str("  \"surrogate\": [\n");
         for (i, r) in self.surrogate.iter().enumerate() {
             let comma = if i + 1 == self.surrogate.len() {
@@ -1642,6 +1680,56 @@ mod tests {
         );
         assert_ne!(a.key(), b.key());
         assert!(!Arc::ptr_eq(a.trace(), b.trace()));
+    }
+
+    #[test]
+    fn timing_variants_share_one_functional_pass() {
+        let ctx = Ctx::with_settings(EngineChoice::EventDriven, false);
+        let scale = Scale {
+            ops: 8_000,
+            seed: 5,
+        };
+        let trace = ctx.named_trace("gcc", scale);
+        let base = presets::baseline_4wide();
+        let mut cfgs: Vec<MachineConfig> = [10, 20, 30]
+            .map(|depth| base.to_builder().frontend_depth(depth).build().unwrap())
+            .to_vec();
+        cfgs.push(
+            base.to_builder()
+                .latencies(base.latencies.scaled(2.0))
+                .build()
+                .unwrap(),
+        );
+        for cfg in &cfgs {
+            let analysis = ctx.analyze(cfg, &trace);
+            assert!(!analysis.breakdowns.is_empty(), "gcc mispredicts");
+            assert_eq!(*analysis, PenaltyModel::new(cfg.clone()).analyze(&trace));
+            assert_eq!(
+                *ctx.static_bounds(cfg, &trace),
+                bmp_analyze::staticpass::bounds::compute(cfg, &trace)
+            );
+            assert_eq!(ctx.cpi_stack(cfg, &trace), cpi::predict(&trace, cfg));
+        }
+        let c = ctx.cache_stats();
+        assert_eq!(
+            c.functional_misses, 1,
+            "one pass for one trace and frontend"
+        );
+        assert_eq!(c.functional_hits, 3 * cfgs.len() as u64 - 1);
+        assert_eq!(c.analysis_misses, cfgs.len() as u64);
+        assert_eq!(c.static_misses, cfgs.len() as u64);
+
+        // Another predictor is another frontend: a pass of its own.
+        let bimodal = base
+            .to_builder()
+            .predictor(PredictorConfig::Bimodal { entries: 4096 })
+            .build()
+            .unwrap();
+        assert_eq!(
+            *ctx.analyze(&bimodal, &trace),
+            PenaltyModel::new(bimodal.clone()).analyze(&trace)
+        );
+        assert_eq!(ctx.cache_stats().functional_misses, 2);
     }
 
     fn defs_for(names: &[&str]) -> Vec<ExperimentDef> {

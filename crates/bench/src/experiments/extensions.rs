@@ -153,7 +153,7 @@ pub fn ex3_closed_form(ctx: &Ctx, scale: Scale) -> Table {
         let trace = ctx.trace(&profile, scale);
         let res = ctx.sim(&sim, &trace);
         let analysis = ctx.analyze(&cfg, &trace);
-        let cf = closed_form::estimate(&trace, &cfg);
+        let cf = closed_form::estimate_with(&trace, &cfg, &ctx.functional(&cfg, &trace));
         let local = if analysis.breakdowns.is_empty() {
             0.0
         } else {

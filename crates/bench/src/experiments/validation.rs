@@ -1,7 +1,7 @@
 //! E-F10: validation of the analytical model against the cycle-level
 //! simulator.
 
-use bmp_core::{cpi, validate::ValidationReport};
+use bmp_core::validate::ValidationReport;
 use bmp_sim::Simulator;
 use bmp_uarch::presets;
 use bmp_workloads::spec;
@@ -40,7 +40,7 @@ pub fn fig10_model_validation(ctx: &Ctx, scale: Scale) -> Table {
             .map(|m| (m.branch_idx, m.resolution()))
             .collect();
         let v = ValidationReport::from_pairs(&analysis, &measured);
-        let stack = cpi::predict(&trace, &cfg);
+        let stack = ctx.cpi_stack(&cfg, &trace);
         let sched = analysis.scheduled_cycles as f64 / trace.len() as f64;
         t.push_row(vec![
             profile.name.clone(),

@@ -223,7 +223,7 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             .any(|k| k == "analysis-baseline" || k == "kernel-analysis")
         {
             let analysis = ctx.analyze(&baseline, &trace);
-            let stack = cpi::predict(&trace, &baseline);
+            let stack = ctx.cpi_stack(&baseline, &trace);
             recorder.record_model(workload, baseline_pred, &analysis, stack);
         }
         if kinds.iter().any(|k| k == "classes-baseline") {
@@ -247,7 +247,7 @@ pub fn collect_experiment(ctx: &Ctx, def: &ExperimentDef, scale: Scale) -> Exper
             recorder.record_sim(workload, pred, &result);
             if kinds.iter().any(|k| k == &format!("analysis-pred-{pred}")) {
                 let analysis = ctx.analyze(&cfg, &trace);
-                let stack = cpi::predict(&trace, &cfg);
+                let stack = ctx.cpi_stack(&cfg, &trace);
                 recorder.record_model(workload, pred, &analysis, stack);
                 recorder.record_classes(workload, pred, class_penalties(ctx, &cfg, &trace));
             }

@@ -113,7 +113,7 @@ impl PenaltyBreakdown {
 
 /// The result of analyzing one trace: intervals, per-misprediction
 /// breakdowns and aggregate views.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PenaltyAnalysis {
     /// Every inter-miss interval of the trace.
     pub intervals: Vec<Interval>,
@@ -362,7 +362,7 @@ impl PenaltyModel {
             trace.ops(),
             MachineModel::from(&self.cfg),
             &self.cfg.latencies,
-            |i| outcome.load_latency[i],
+            |i| outcome.load_latency(i),
             &frontend_events_of(&self.cfg, outcome),
             false,
         );
@@ -475,7 +475,7 @@ pub fn local_decomposition(
         .filter(|iv| iv.kind == Some(IntervalEventKind::BranchMispredict))
         .map(|&interval| {
             let ops = &trace.ops()[interval.start..=interval.end];
-            let real_load = |i: usize| outcome.load_latency[interval.start + i];
+            let real_load = |i: usize| outcome.load_latency(interval.start + i);
             schedule_lanes(ops, params, &lanes, real_load, &mut schedule);
             let [r_local, r_l1, r_unit, r_base] = schedule.resolution(ops.len() - 1);
 

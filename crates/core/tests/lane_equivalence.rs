@@ -3,8 +3,9 @@
 //!
 //! The oracles below are the previous one-schedule-per-call
 //! `schedule_interval` and the previous `SlotLedger`/`schedule_trace`,
-//! kept verbatim apart from their names, rustfmt, and `event_pos` in
-//! place of the private `FrontendEvent::pos`. The properties check, on
+//! kept verbatim apart from their names, rustfmt, `event_pos` in place
+//! of the private `FrontendEvent::pos`, and the `load_latency` accessor
+//! in place of an indexed vector. The properties check, on
 //! random intervals, traces and machines, that
 //!
 //! * every lane of `schedule_lanes` equals one oracle schedule;
@@ -18,7 +19,9 @@ use bmp_core::drain::{
     LaneSchedule, LaneSet, MachineModel, TraceSchedule, WindowParams,
 };
 use bmp_core::penalty::{local_decomposition, LocalTerms};
-use bmp_core::{segment, FunctionalOutcome, IntervalEvent, IntervalEventKind};
+use bmp_core::{
+    segment, FunctionalOutcome, IntervalEvent, IntervalEventKind, LoadClass, LoadClasses,
+};
 use bmp_trace::{BranchKind, MicroOp, Trace};
 use bmp_uarch::{
     CacheGeometry, HierarchyConfig, LatencyTable, MachineConfig, MachineConfigBuilder, OpClass,
@@ -268,7 +271,7 @@ fn oracle_local_decomposition(
         .map(|interval| {
             let ops = &trace.ops()[interval.start..=interval.end];
             let b = ops.len() - 1;
-            let real_load = |i: usize| outcome.load_latency[interval.start + i];
+            let real_load = |i: usize| outcome.load_latency(interval.start + i);
             let r_local = oracle_schedule_interval(ops, params, &cfg.latencies, real_load, false)
                 .resolution(b);
             let r_l1 =
@@ -342,6 +345,28 @@ fn random_ops(rng: &mut SmallRng, n: usize, max_dist: u32) -> (Vec<MicroOp>, Vec
         load_latency.push(lat);
     }
     (ops, load_latency)
+}
+
+/// Random classes for the loads among `ops`, with random per-class
+/// latencies from 1 to 300 cycles: nine loads in ten get a class, the
+/// rest none (their latency then comes from the latency table).
+fn random_load_classes(rng: &mut SmallRng, ops: &[MicroOp]) -> LoadClasses {
+    let mut latency = || {
+        if rng.gen_bool(0.5) {
+            [1u32, 2, 3, 12, 14, 120, 300][rng.gen_range(0..7usize)]
+        } else {
+            rng.gen_range(1..=300)
+        }
+    };
+    let latencies = [latency(), latency(), latency()];
+    let classes = [LoadClass::L1Hit, LoadClass::ShortMiss, LoadClass::LongMiss];
+    let mut loads = LoadClasses::new(ops.len(), latencies);
+    for (i, op) in ops.iter().enumerate() {
+        if op.class() == OpClass::Load && rng.gen_bool(0.9) {
+            loads.set(i, classes[rng.gen_range(0..3usize)]);
+        }
+    }
+    loads
 }
 
 /// A random latency table: the default scaled by 1–3×, or arbitrary
@@ -455,12 +480,12 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cfg = random_machine(&mut rng);
         let n = rng.gen_range(1..600usize);
-        let (ops, load_latency) = random_ops(&mut rng, n, 700);
+        let (ops, _) = random_ops(&mut rng, n, 700);
+        let loads = random_load_classes(&mut rng, &ops);
         let trace = Trace::from_ops_unchecked(ops);
         let outcome = FunctionalOutcome {
             events: random_events(&mut rng, n),
-            load_class: vec![None; n],
-            load_latency,
+            loads,
             branch_stats: BranchStats::default(),
         };
         let (_, locals) = local_decomposition(&cfg, &trace, &outcome);

@@ -65,7 +65,7 @@ proptest! {
             trace.ops(),
             MachineModel::from(&cfg),
             &cfg.latencies,
-            |i| outcome.load_latency[i],
+            |i| outcome.load_latency(i),
             &events,
             false,
         );
@@ -102,11 +102,11 @@ proptest! {
         let outcome = FunctionalOutcome::compute(&trace, &cfg);
         let model = MachineModel::from(&cfg);
         let fast = schedule_trace(
-            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency[i], &[], false,
+            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency(i), &[], false,
         );
         let slow_lat = cfg.latencies.scaled(2.0);
         let slow = schedule_trace(
-            trace.ops(), model, &slow_lat, |i| outcome.load_latency[i], &[], false,
+            trace.ops(), model, &slow_lat, |i| outcome.load_latency(i), &[], false,
         );
         prop_assert!(slow.total_cycles() >= fast.total_cycles());
     }
@@ -152,10 +152,10 @@ proptest! {
             .map(|&pos| FrontendEvent::Mispredict { pos })
             .collect();
         let without = schedule_trace(
-            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency[i], &[], false,
+            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency(i), &[], false,
         );
         let with = schedule_trace(
-            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency[i], &events, false,
+            trace.ops(), model, &cfg.latencies, |i| outcome.load_latency(i), &events, false,
         );
         let fe = u64::from(cfg.frontend_depth);
         for &pos in &mispredicts {
